@@ -142,7 +142,10 @@ void BM_ListScheduler(benchmark::State& state) {
 }
 BENCHMARK(BM_ListScheduler);
 
-void BM_MckpDp(benchmark::State& state) {
+/// Four flow stages with four on-demand shapes each; `spot` appends four
+/// spot items per stage (10% slower in expectation, 70% cheaper), as the
+/// deployment optimizer does when a spot market is enabled.
+std::vector<cloud::MckpStage> mckp_stages(bool spot) {
   util::Rng rng(4);
   std::vector<cloud::MckpStage> stages;
   for (int l = 0; l < 4; ++l) {
@@ -154,15 +157,32 @@ void BM_MckpDp(benchmark::State& state) {
       time *= 0.6;
       cost *= 1.3;
     }
+    if (spot) {
+      for (std::size_t j = 0; j < 4; ++j) {
+        cloud::MckpItem item = stage.items[j];
+        item.time_seconds *= 1.1;
+        item.cost_usd *= 0.3;
+        stage.items.push_back(item);
+      }
+    }
     stages.push_back(stage);
   }
-  const double deadline = state.range(0);
+  return stages;
+}
+
+void run_mckp_dp(benchmark::State& state, bool spot) {
+  const auto stages = mckp_stages(spot);
+  const double deadline = static_cast<double>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         cloud::solve_mckp_dp(stages, deadline).total_cost_usd);
   }
 }
-BENCHMARK(BM_MckpDp)->Arg(5000)->Arg(20000);
+
+void BM_MckpDp(benchmark::State& state) { run_mckp_dp(state, false); }
+void BM_MckpDpSpot(benchmark::State& state) { run_mckp_dp(state, true); }
+BENCHMARK(BM_MckpDp)->Arg(100)->Arg(5000)->Arg(100000);
+BENCHMARK(BM_MckpDpSpot)->Arg(100)->Arg(5000)->Arg(100000);
 
 void BM_GcnForward(benchmark::State& state) {
   const auto aig = make_design(static_cast<int>(state.range(0)));

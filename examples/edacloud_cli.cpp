@@ -44,6 +44,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -189,6 +190,19 @@ bool has_flag(const std::vector<std::string>& args, const std::string& flag) {
     if (arg == flag) return true;
   }
   return false;
+}
+
+/// A deadline in seconds: the whole string must be a finite number > 0
+/// (atof would let "nan", "inf" and trailing junk through).
+bool parse_deadline(const std::string& text, double* seconds) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(value) ||
+      value <= 0.0) {
+    return false;
+  }
+  *seconds = value;
+  return true;
 }
 
 bool write_file(const std::string& path, const std::string& content) {
@@ -346,8 +360,13 @@ int cmd_flow(const std::vector<std::string>& args) {
 
 int cmd_plan(const std::vector<std::string>& args) {
   if (args.size() < 3) return usage();
+  double deadline = 0.0;
+  if (!parse_deadline(args[2], &deadline)) {
+    std::fprintf(stderr, "error: <deadline_s> wants a finite number of "
+                 "seconds > 0\n");
+    return 2;
+  }
   const nl::Aig aig = generate_or_die(args[0], std::atoi(args[1].c_str()));
-  const double deadline = std::atof(args[2].c_str());
 
   const nl::CellLibrary library = nl::make_generic_14nm_library();
   core::Characterizer characterizer(library);
@@ -973,10 +992,9 @@ int cmd_tune(const std::vector<std::string>& args) {
   double deadline_s = 2000.0;
   const std::string deadline_flag = flag_value(args, "--deadline");
   if (!deadline_flag.empty()) {
-    deadline_s = std::atof(deadline_flag.c_str());
-    if (deadline_s <= 0.0) {
-      std::fprintf(stderr, "error: --deadline wants a positive number of "
-                   "seconds\n");
+    if (!parse_deadline(deadline_flag, &deadline_s)) {
+      std::fprintf(stderr, "error: --deadline wants a finite number of "
+                   "seconds > 0\n");
       return 2;
     }
   }

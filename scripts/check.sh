@@ -89,6 +89,16 @@ trace_smoke() {
     return 1
   }
   "${cli}" fleet-sim --help > /dev/null || return 1
+  local rc
+  for cmd in "plan adder 8 nan" "tune adder 8 --deadline inf"; do
+    rc=0
+    # ${cmd} is split into words on purpose.
+    "${cli}" ${cmd} > /dev/null 2>&1 || rc=$?
+    if [[ "${rc}" -ne 2 ]]; then
+      echo "cli smoke: '${cmd}' exited ${rc}, want 2" >&2
+      return 1
+    fi
+  done
 }
 
 trace_smoke
@@ -408,6 +418,9 @@ market_smoke() {
     echo "market smoke: unknown loadgen --mix exited 0" >&2
     return 1
   }
+  # The rejected command above leaves a non-zero status; without this the
+  # function returns it and `set -e` ends the script here.
+  return 0
 }
 
 market_smoke

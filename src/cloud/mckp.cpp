@@ -44,74 +44,97 @@ MckpSelection finalize(const std::vector<MckpStage>& stages,
   return selection;
 }
 
-}  // namespace
-
-MckpSelection solve_mckp_dp(const std::vector<MckpStage>& stages,
-                            double deadline_seconds, Objective objective) {
-  MckpSelection infeasible;
-  if (stages.empty()) {
-    infeasible.feasible = true;
-    return infeasible;
-  }
+void require_items(const std::vector<MckpStage>& stages) {
   for (const MckpStage& stage : stages) {
     if (stage.items.empty()) {
       throw std::invalid_argument("stage without items: " + stage.name);
     }
   }
-  const long long budget =
-      static_cast<long long>(std::floor(deadline_seconds));
-  if (budget < 0) return infeasible;
-  const std::size_t columns = static_cast<std::size_t>(budget) + 1;
+}
 
-  // dp[c] = best achievable value with total time <= c; -inf (the paper's
-  // z_l(C) := -inf convention) marks "no assignment fits in c". Zero
-  // stages consume zero time, so the base case is 0 everywhere.
-  std::vector<double> dp(columns, 0.0);
+/// floor(deadline), clamped to the slowest plan's total time (where every
+/// plan fits); -1 (nothing fits) for a negative or NaN deadline.
+long long budget_seconds(const std::vector<MckpStage>& stages,
+                         double deadline_seconds) {
+  if (!(deadline_seconds >= 0.0)) return -1;
+  long long slowest = 0;
+  for (const MckpStage& stage : stages) {
+    long long stage_max = 0;
+    for (const MckpItem& item : stage.items)
+      stage_max = std::max(stage_max, rounded_seconds(item.time_seconds));
+    slowest += stage_max;
+  }
+  if (deadline_seconds >= static_cast<double>(slowest)) return slowest;
+  return static_cast<long long>(std::floor(deadline_seconds));
+}
 
-  // choice_table[l][c] = item picked for stage l at budget c.
-  std::vector<std::vector<int>> choice_table(
-      stages.size(), std::vector<int>(columns, -1));
+/// The best value over a prefix of stages is a non-decreasing step function
+/// of the budget c: breakpoints sorted by c, values strictly rising.
+struct Breakpoint { long long c; double value; };
+using StepFunction = std::vector<Breakpoint>;
 
-  std::vector<double> next(columns);
-  for (std::size_t l = 0; l < stages.size(); ++l) {
-    std::fill(next.begin(), next.end(), -kInfinity);
-    for (std::size_t c = 0; c < columns; ++c) {
-      for (std::size_t j = 0; j < stages[l].items.size(); ++j) {
-        const MckpItem& item = stages[l].items[j];
-        const long long t = rounded_seconds(item.time_seconds);
-        if (static_cast<long long>(c) < t) continue;
-        const double prev = dp[c - static_cast<std::size_t>(t)];
-        if (prev == -kInfinity) continue;
-        const double candidate = prev + item_value(item, objective);
-        if (candidate > next[c]) {
-          next[c] = candidate;
-          choice_table[l][c] = static_cast<int>(j);
-        }
+/// The per-second table's cell at budget c: the first item with the
+/// strictly largest `prev + item_value`, prev being the stages below within
+/// c minus the item's time; {-1, -inf} if no item fits.
+std::pair<int, double> best_item(const MckpStage& stage,
+                                 const StepFunction& below, long long c,
+                                 Objective objective) {
+  std::pair<int, double> best{-1, -kInfinity};
+  for (std::size_t j = 0; j < stage.items.size(); ++j) {
+    const long long rest = c - rounded_seconds(stage.items[j].time_seconds);
+    const auto it = std::upper_bound(below.begin(), below.end(), rest,
+        [](long long budget, const Breakpoint& b) { return budget < b.c; });
+    if (it == below.begin()) continue;  // the stages below do not fit
+    const double candidate =
+        std::prev(it)->value + item_value(stage.items[j], objective);
+    if (candidate > best.second) best = {static_cast<int>(j), candidate};
+  }
+  return best;
+}
+
+/// levels[l] = the step function over stages [0, l) up to `budget`. A level
+/// steps only where a breakpoint below plus an item's rounded time lands.
+std::vector<StepFunction> breakpoint_levels(
+    const std::vector<MckpStage>& stages, long long budget,
+    Objective objective) {
+  std::vector<StepFunction> levels{{{0, 0.0}}};  // zero stages: 0 for all c
+  for (const MckpStage& stage : stages) {
+    std::vector<long long> candidates;
+    for (const Breakpoint& point : levels.back()) {
+      for (const MckpItem& item : stage.items) {
+        const long long c = point.c + rounded_seconds(item.time_seconds);
+        if (c <= budget) candidates.push_back(c);
       }
     }
-    dp = next;
-  }
-
-  // Find the best terminal budget.
-  std::size_t best_c = 0;
-  double best_value = -kInfinity;
-  for (std::size_t c = 0; c < columns; ++c) {
-    if (dp[c] > best_value) {
-      best_value = dp[c];
-      best_c = c;
+    std::ranges::sort(candidates);
+    candidates.erase(std::ranges::unique(candidates).begin(), candidates.end());
+    StepFunction level;
+    for (long long c : candidates) {
+      const double value = best_item(stage, levels.back(), c, objective).second;
+      if (value > (level.empty() ? -kInfinity : level.back().value))
+        level.push_back({c, value});
     }
+    levels.push_back(std::move(level));
   }
-  if (best_value == -kInfinity) return infeasible;
+  return levels;
+}
 
-  // Reconstruct choices backwards.
+}  // namespace
+
+MckpSelection solve_mckp_dp(const std::vector<MckpStage>& stages,
+                            double deadline_seconds, Objective objective) {
+  if (stages.empty()) return finalize(stages, {}, objective);
+  require_items(stages);
+  const auto levels = breakpoint_levels(
+      stages, budget_seconds(stages, deadline_seconds), objective);
+  // The first budget with the largest value is the last breakpoint.
+  if (levels.back().empty()) return {};
+  long long c = levels.back().back().c;
+  // Reconstruct choices backwards, re-deriving each stage's cell.
   std::vector<int> choice(stages.size(), -1);
-  std::size_t c = best_c;
   for (std::size_t l = stages.size(); l-- > 0;) {
-    const int j = choice_table[l][c];
-    if (j < 0) return infeasible;  // defensive; should not happen
-    choice[l] = j;
-    c -= static_cast<std::size_t>(rounded_seconds(
-        stages[l].items[static_cast<std::size_t>(j)].time_seconds));
+    choice[l] = best_item(stages[l], levels[l], c, objective).first;
+    c -= rounded_seconds(stages[l].items[choice[l]].time_seconds);
   }
   return finalize(stages, std::move(choice), objective);
 }
@@ -119,15 +142,11 @@ MckpSelection solve_mckp_dp(const std::vector<MckpStage>& stages,
 MckpSelection solve_mckp_brute_force(const std::vector<MckpStage>& stages,
                                      double deadline_seconds,
                                      Objective objective) {
+  if (stages.empty()) return finalize(stages, {}, objective);
   MckpSelection best;
-  if (stages.empty()) {
-    best.feasible = true;
-    return best;
-  }
   std::vector<int> choice(stages.size(), 0);
   double best_value = -kInfinity;
-  const long long budget =
-      static_cast<long long>(std::floor(deadline_seconds));
+  const long long budget = budget_seconds(stages, deadline_seconds);
 
   auto recurse = [&](auto&& self, std::size_t l, long long used,
                      double value) -> void {
@@ -181,11 +200,7 @@ std::vector<ParetoPoint> cost_deadline_frontier(
     const std::vector<MckpStage>& stages) {
   std::vector<ParetoPoint> frontier;
   if (stages.empty()) return frontier;
-  for (const MckpStage& stage : stages) {
-    if (stage.items.empty()) {
-      throw std::invalid_argument("stage without items: " + stage.name);
-    }
-  }
+  require_items(stages);
   // Budget range: fastest completion .. total time of the globally
   // cheapest per-stage items (beyond that the cost cannot improve).
   long long budget_hi = 0;
@@ -200,30 +215,15 @@ std::vector<ParetoPoint> cost_deadline_frontier(
     }
     budget_hi += rounded_seconds(cheapest->time_seconds);
   }
-  const std::size_t columns = static_cast<std::size_t>(budget_hi) + 1;
 
-  std::vector<double> dp(columns, 0.0);  // max of (-cost); 0 = zero stages
-  std::vector<double> next(columns);
-  for (const MckpStage& stage : stages) {
-    std::fill(next.begin(), next.end(), -kInfinity);
-    for (std::size_t c = 0; c < columns; ++c) {
-      for (const MckpItem& item : stage.items) {
-        const long long t = rounded_seconds(item.time_seconds);
-        if (static_cast<long long>(c) < t) continue;
-        const double prev = dp[c - static_cast<std::size_t>(t)];
-        if (prev == -kInfinity) continue;
-        next[c] = std::max(next[c], prev - item.cost_usd);
-      }
-    }
-    dp = next;
-  }
-
+  // Max of (-cost) per budget; only its breakpoints can pass the filter.
+  const auto levels =
+      breakpoint_levels(stages, budget_hi, Objective::kMinTotalCost);
   double best = -kInfinity;
-  for (std::size_t c = 0; c < columns; ++c) {
-    if (dp[c] > best + 1e-12) {
-      best = dp[c];
-      frontier.push_back(
-          {static_cast<double>(c), -best});
+  for (const Breakpoint& point : levels.back()) {
+    if (point.value > best + 1e-12) {
+      best = point.value;
+      frontier.push_back({static_cast<double>(point.c), -best});
     }
   }
   return frontier;

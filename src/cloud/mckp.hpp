@@ -9,9 +9,21 @@
 //                       results (Table I, Fig. 6) describe.
 //  - kMaxInverseCost  : maximize Σ 1/cost — the literal Eq. (2) objective.
 //
-// Both are solved exactly with the Dudzinski–Walukiewicz pseudo-polynomial
-// dynamic program over integer seconds; a brute-force reference solver
-// backs the tests.
+// Both are solved exactly by a breakpoint dynamic program. Runtimes are
+// rounded to whole seconds; for a prefix of stages, the best value within a
+// budget of c seconds is a non-decreasing step function of c, so each
+// stage keeps only its breakpoints (c, value), sorted by c with strictly
+// rising values. The next stage's breakpoints can only lie at a breakpoint
+// plus an item's rounded time; each such budget is evaluated as
+// prev + item value in item order, keeping the first strictly best item,
+// and kept only where the value strictly rises. Reconstruction starts from
+// the first budget with the best value and re-derives each stage's item the
+// same way. Choices, totals and tie-breaks therefore equal those of the
+// Dudzinski–Walukiewicz table over every whole second up to the deadline,
+// but the work is O(Σ_l B_l · J_l² · log B_l) for B_l breakpoints and J_l
+// items per stage. B_l is at most the number of distinct rounded time sums
+// of the first l stages, so the work does not grow with the deadline.
+// A brute-force reference solver backs the tests.
 
 #include <cstdint>
 #include <string>
@@ -44,7 +56,10 @@ struct MckpSelection {
 };
 
 /// Exact DP. Runtimes are rounded to whole seconds (per-second billing);
-/// deadline_seconds is truncated to an integer budget.
+/// deadline_seconds is truncated to an integer budget, clamped to the sum of
+/// each stage's slowest rounded time (every plan fits there, so +inf or any
+/// huge deadline behaves like that sum). A negative or NaN deadline is
+/// infeasible.
 MckpSelection solve_mckp_dp(const std::vector<MckpStage>& stages,
                             double deadline_seconds,
                             Objective objective = Objective::kMinTotalCost);
@@ -71,8 +86,8 @@ struct ParetoPoint {
 
 /// The full non-dominated (deadline, min-cost) frontier, from the fastest
 /// feasible completion to the budget where the global cost minimum is
-/// reached. One exact DP sweep; breakpoints only (cost strictly decreases
-/// between consecutive points).
+/// reached: the last stage's breakpoints of the same DP (min-cost
+/// objective), kept where the cost falls by more than 1e-12.
 std::vector<ParetoPoint> cost_deadline_frontier(
     const std::vector<MckpStage>& stages);
 

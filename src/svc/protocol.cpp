@@ -80,6 +80,17 @@ bool require_design(const JsonValue& value, ParsedRequest& out) {
   return require_size(value, out);
 }
 
+/// deadline_s must be a finite number > 0 (`1e999` parses to inf).
+bool require_deadline(const JsonValue& value, ParsedRequest& out) {
+  out.request.deadline_seconds = value.number_or("deadline_s", 0.0);
+  if (!std::isfinite(out.request.deadline_seconds) ||
+      out.request.deadline_seconds <= 0.0) {
+    out.error = "field 'deadline_s' must be a finite number > 0";
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 const char* to_string(RequestType type) {
@@ -154,10 +165,7 @@ ParsedRequest parse_request(const JsonValue& value) {
                                out)) {
       return out;
     }
-    if (!require_design(value, out)) return out;
-    out.request.deadline_seconds = value.number_or("deadline_s", 0.0);
-    if (out.request.deadline_seconds <= 0.0) {
-      out.error = "field 'deadline_s' must be > 0";
+    if (!require_design(value, out) || !require_deadline(value, out)) {
       return out;
     }
     out.request.spot = value.bool_or("spot", false);
@@ -181,10 +189,7 @@ ParsedRequest parse_request(const JsonValue& value) {
             out)) {
       return out;
     }
-    if (!require_design(value, out)) return out;
-    out.request.deadline_seconds = value.number_or("deadline_s", 0.0);
-    if (out.request.deadline_seconds <= 0.0) {
-      out.error = "field 'deadline_s' must be > 0";
+    if (!require_design(value, out) || !require_deadline(value, out)) {
       return out;
     }
     out.request.spot = value.bool_or("spot", false);

@@ -271,6 +271,26 @@ TEST(SvcProtocolTest, RejectsTuneKnobsOutOfRange) {
   }
 }
 
+TEST(SvcProtocolTest, RejectsNonFiniteDeadlines) {
+  // 1e999 overflows to inf in the JSON number parser; the planner must
+  // never see it.
+  for (const char* type : {"optimize", "tune"}) {
+    for (const char* deadline : {"1e999", "-1e999"}) {
+      const std::string text = std::string("{\"id\":3,\"type\":\"") + type +
+                               "\",\"family\":\"adder\",\"size\":8,"
+                               "\"deadline_s\":" + deadline + "}";
+      const JsonParseResult json = parse_json(text);
+      ASSERT_TRUE(json.ok) << text;
+      const ParsedRequest parsed = parse_request(json.value);
+      EXPECT_FALSE(parsed.ok) << text;
+      EXPECT_STREQ(parsed.code, kErrBadRequest) << text;
+      EXPECT_EQ(parsed.error, "field 'deadline_s' must be a finite number > 0")
+          << text;
+      EXPECT_EQ(parsed.request.id, 3u) << text;
+    }
+  }
+}
+
 TEST(SvcProtocolTest, ErrorResponseShape) {
   const std::string reply = error_response(9, kErrOverloaded, "queue full");
   const JsonParseResult parsed = parse_json(reply);
