@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the library's hot kernels:
 // AIG construction + rewriting, cut enumeration + mapping, CG placement
-// solve, A* maze routing, STA sweeps, cache/branch simulators, MCKP DP and
-// GCN forward pass. These quantify the substrate itself rather than a
-// paper figure.
+// solve, A* maze routing, STA sweeps, cache/branch simulators, instrument
+// event replay, MCKP DP and GCN forward pass. These quantify the substrate
+// itself rather than a paper figure.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +11,8 @@
 #include "nl/star_graph.hpp"
 #include "perf/branch_sim.hpp"
 #include "perf/cache_sim.hpp"
+#include "perf/event_log.hpp"
+#include "perf/instrument.hpp"
 #include "perf/task_graph.hpp"
 #include "place/placer.hpp"
 #include "route/router.hpp"
@@ -122,6 +124,65 @@ void BM_BranchSim(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BranchSim);
+
+/// One routing-like attempt, the shape GridRouter records per connection:
+/// A* expansions, each a private heap probe, four data-dependent branches
+/// and four neighbour probes (grid-edge load, private cost load, branch,
+/// int/fp ops) around a random window of a 128x128 grid.
+void record_routing_like_attempt(perf::EventLog& log, util::Rng& rng,
+                                 std::uint32_t stream) {
+  constexpr std::uint64_t kGridBase = 0x40ULL << 23;
+  constexpr std::uint64_t kHeapBase = 0x41ULL << 23;
+  constexpr std::uint64_t kCostBase = 0x42ULL << 23;
+  constexpr std::uint64_t kCells = 128 * 128;
+  const std::uint64_t center = rng.next_below(kCells);
+  const std::uint64_t expansions = 50 + rng.next_below(400);
+  for (std::uint64_t e = 1; e <= expansions; ++e) {
+    log.load_private(kHeapBase + (e % 1024) * 16, stream);
+    log.int_ops(14);
+    log.branch(kHeapBase ^ 0x6, rng.next_bool(0.5));
+    log.branch(kHeapBase ^ 0x7, rng.next_bool(0.5));
+    log.branch(kGridBase ^ 0x1, false);
+    log.branch(kGridBase ^ 0x2, rng.next_bool(0.2));
+    const std::uint64_t cell = (center + rng.next_below(1024)) % kCells;
+    for (std::uint64_t dir = 0; dir < 4; ++dir) {
+      const std::uint64_t neighbor = (cell + dir * 127 + 1) % kCells;
+      log.load(kGridBase + (2 * cell + dir) * 48);
+      log.load_private(kCostBase + neighbor * 16, stream);
+      log.branch(kGridBase ^ 0x3, rng.next_bool(0.4));
+      log.int_ops(8);
+      log.fp_ops(3);
+    }
+  }
+}
+
+/// Replays 64 recorded routing-like attempts (~0.35M events) into one
+/// Instrument over both 4-rung ladders, as an instrumented routing stage
+/// does at commit time. Counters: events replayed per second.
+void BM_InstrumentReplay(benchmark::State& state) {
+  std::vector<perf::VmConfig> configs;
+  for (const auto family : {perf::InstanceFamily::kGeneralPurpose,
+                            perf::InstanceFamily::kMemoryOptimized}) {
+    for (const auto& vm : perf::vm_ladder(family)) configs.push_back(vm);
+  }
+  util::Rng rng(5);
+  perf::EventArena arena;
+  std::vector<perf::EventLog> logs;
+  std::size_t events = 0;
+  for (std::uint32_t attempt = 0; attempt < 64; ++attempt) {
+    logs.emplace_back(arena);
+    record_routing_like_attempt(logs.back(), rng, attempt);
+    events += logs.back().size();
+  }
+  for (auto _ : state) {
+    perf::Instrument instrument(configs);
+    for (const perf::EventLog& log : logs) instrument.replay(log);
+    benchmark::DoNotOptimize(instrument.counts(configs.size() - 1));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_InstrumentReplay)->Unit(benchmark::kMillisecond);
 
 void BM_ListScheduler(benchmark::State& state) {
   perf::TaskGraph graph;

@@ -192,16 +192,23 @@ bool has_flag(const std::vector<std::string>& args, const std::string& flag) {
   return false;
 }
 
-/// A deadline in seconds: the whole string must be a finite number > 0
-/// (atof would let "nan", "inf" and trailing junk through).
-bool parse_deadline(const std::string& text, double* seconds) {
+/// A finite number: the whole string must parse (atof would let "nan",
+/// "inf" and trailing junk through).
+bool parse_finite(const std::string& text, double* out) {
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0' || !std::isfinite(value) ||
-      value <= 0.0) {
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(value)) {
     return false;
   }
-  *seconds = value;
+  *out = value;
+  return true;
+}
+
+/// A finite number > 0 (a deadline, a duration, a dollar amount).
+bool parse_positive(const std::string& text, double* out) {
+  double value = 0.0;
+  if (!parse_finite(text, &value) || value <= 0.0) return false;
+  *out = value;
   return true;
 }
 
@@ -361,7 +368,7 @@ int cmd_flow(const std::vector<std::string>& args) {
 int cmd_plan(const std::vector<std::string>& args) {
   if (args.size() < 3) return usage();
   double deadline = 0.0;
-  if (!parse_deadline(args[2], &deadline)) {
+  if (!parse_positive(args[2], &deadline)) {
     std::fprintf(stderr, "error: <deadline_s> wants a finite number of "
                  "seconds > 0\n");
     return 2;
@@ -416,13 +423,23 @@ int cmd_fleet_sim(const std::vector<std::string>& args) {
 
   std::string policy_name = "cost";
   const std::string rate = flag_value(args, "--arrival-rate");
-  if (!rate.empty()) config.load.arrival_rate_per_hour = std::atof(rate.c_str());
+  if (!rate.empty() &&
+      !parse_positive(rate, &config.load.arrival_rate_per_hour)) {
+    std::fprintf(stderr, "error: --arrival-rate wants a finite number of "
+                 "jobs per hour > 0\n");
+    return 2;
+  }
   const std::string policy = flag_value(args, "--policy");
   if (!policy.empty()) policy_name = policy;
   const std::string seed = flag_value(args, "--seed");
   if (!seed.empty()) config.seed = std::strtoull(seed.c_str(), nullptr, 10);
   const std::string duration = flag_value(args, "--duration");
-  if (!duration.empty()) config.duration_seconds = std::atof(duration.c_str());
+  if (!duration.empty() &&
+      !parse_positive(duration, &config.duration_seconds)) {
+    std::fprintf(stderr, "error: --duration wants a finite number of "
+                 "seconds > 0\n");
+    return 2;
+  }
   const std::string mix = flag_value(args, "--mix");
   if (!mix.empty()) {
     try {
@@ -433,7 +450,12 @@ int cmd_fleet_sim(const std::vector<std::string>& args) {
     }
   }
   const std::string spot = flag_value(args, "--spot");
-  if (!spot.empty()) config.fleet.spot_fraction = std::atof(spot.c_str());
+  if (!spot.empty() &&
+      (!parse_finite(spot, &config.fleet.spot_fraction) ||
+       config.fleet.spot_fraction < 0.0 || config.fleet.spot_fraction > 1.0)) {
+    std::fprintf(stderr, "error: --spot wants a fraction in [0, 1]\n");
+    return 2;
+  }
 
   // Spot-market selection (DESIGN.md §15, docs/MARKETS.md). "static" is
   // the classic flat model; presets generate seeded price weather;
@@ -546,12 +568,6 @@ int cmd_fleet_sim(const std::vector<std::string>& args) {
     // The event loop is sequential and seeded; the worker-pool width must
     // not change any simulated result (scripts/check.sh asserts this).
     util::set_global_thread_count(n);
-  }
-
-  if (config.load.arrival_rate_per_hour <= 0.0 ||
-      config.duration_seconds <= 0.0) {
-    std::fprintf(stderr, "error: arrival rate and duration must be > 0\n");
-    return 2;
   }
 
   // Sharded engine knobs (DESIGN.md §13, docs/SIMULATION.md). Passing any
@@ -992,7 +1008,7 @@ int cmd_tune(const std::vector<std::string>& args) {
   double deadline_s = 2000.0;
   const std::string deadline_flag = flag_value(args, "--deadline");
   if (!deadline_flag.empty()) {
-    if (!parse_deadline(deadline_flag, &deadline_s)) {
+    if (!parse_positive(deadline_flag, &deadline_s)) {
       std::fprintf(stderr, "error: --deadline wants a finite number of "
                    "seconds > 0\n");
       return 2;
@@ -1000,13 +1016,10 @@ int cmd_tune(const std::vector<std::string>& args) {
   }
   double budget_usd = 0.0;
   const std::string budget_flag = flag_value(args, "--budget");
-  if (!budget_flag.empty()) {
-    budget_usd = std::atof(budget_flag.c_str());
-    if (budget_usd <= 0.0) {
-      std::fprintf(stderr, "error: --budget wants a positive dollar "
-                   "amount\n");
-      return 2;
-    }
+  if (!budget_flag.empty() && !parse_positive(budget_flag, &budget_usd)) {
+    std::fprintf(stderr, "error: --budget wants a finite, positive dollar "
+                 "amount\n");
+    return 2;
   }
   long long samples = 16;
   const std::string samples_flag = flag_value(args, "--samples");

@@ -90,7 +90,10 @@ trace_smoke() {
   }
   "${cli}" fleet-sim --help > /dev/null || return 1
   local rc
-  for cmd in "plan adder 8 nan" "tune adder 8 --deadline inf"; do
+  for cmd in "plan adder 8 nan" "tune adder 8 --deadline inf" \
+    "fleet-sim --duration nan" "fleet-sim --spot 1.5" \
+    "fleet-sim --arrival-rate nan" \
+    "tune adder 8 --budget nan --samples 0"; do
     rc=0
     # ${cmd} is split into words on purpose.
     "${cli}" ${cmd} > /dev/null 2>&1 || rc=$?
@@ -436,7 +439,7 @@ if [[ "${1:-}" != "--fast" ]]; then
   cmake --build build-tsan -j
   echo "=== tsan: ctest (concurrency suites) ==="
   (cd build-tsan && ctest --output-on-failure -j "$(nproc)" \
-    -R 'ThreadPool|RouterTest.BitIdentical|StaTest.BitIdentical|MatrixTest.Kernels|TracerTest|SvcServerTest|SvcServerDeterminismTest|SvcLoadgenTest|SvcFuzzTest|MlBatchTest|SchedShardTest|MarketShardTest|TuneTest|RecipeSpaceTest')
+    -R 'ThreadPool|RouterTest.BitIdentical|StaTest.BitIdentical|ArenaReplayTest|MatrixTest.Kernels|TracerTest|SvcServerTest|SvcServerDeterminismTest|SvcLoadgenTest|SvcFuzzTest|MlBatchTest|SchedShardTest|MarketShardTest|TuneTest|RecipeSpaceTest')
 fi
 
 # Per-suite inventory: what tier-1 actually ran, so a vanishing suite (a

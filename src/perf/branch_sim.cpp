@@ -12,18 +12,4 @@ BranchPredictor::BranchPredictor(std::uint32_t table_bits) {
   table_.assign(std::size_t{1} << table_bits, 1);  // weakly not-taken
 }
 
-bool BranchPredictor::observe(std::uint64_t site, bool taken) {
-  ++stats_.branches;
-  const std::uint32_t index =
-      static_cast<std::uint32_t>(site ^ history_) & mask_;
-  std::uint8_t& counter = table_[index];
-  const bool predicted_taken = counter >= 2;
-  const bool correct = predicted_taken == taken;
-  if (!correct) ++stats_.mispredicts;
-  if (taken && counter < 3) ++counter;
-  if (!taken && counter > 0) --counter;
-  history_ = ((history_ << 1) | static_cast<std::uint64_t>(taken)) & mask_;
-  return correct;
-}
-
 }  // namespace edacloud::perf

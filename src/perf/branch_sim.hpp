@@ -38,4 +38,20 @@ class BranchPredictor {
   BranchStats stats_;
 };
 
+inline bool BranchPredictor::observe(std::uint64_t site, bool taken) {
+  ++stats_.branches;
+  const std::uint32_t index =
+      static_cast<std::uint32_t>(site ^ history_) & mask_;
+  std::uint8_t& counter = table_[index];
+  const bool correct = (counter >= 2) == taken;
+  stats_.mispredicts += correct ? 0 : 1;
+  // Saturating 2-bit update, written branch-free: the outcomes are the
+  // data-dependent part of the simulated stream.
+  const std::uint8_t up = taken && counter < 3 ? 1 : 0;
+  const std::uint8_t down = !taken && counter > 0 ? 1 : 0;
+  counter = static_cast<std::uint8_t>(counter + up - down);
+  history_ = ((history_ << 1) | static_cast<std::uint64_t>(taken)) & mask_;
+  return correct;
+}
+
 }  // namespace edacloud::perf

@@ -27,53 +27,10 @@ CacheSim::CacheSim(std::uint64_t size_bytes, std::uint32_t line_bytes,
   set_count_ = static_cast<std::uint32_t>(sets);
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(
       static_cast<std::uint64_t>(line_bytes_)));
-  sets_.assign(static_cast<std::size_t>(set_count_) * ways_, Way{});
-}
-
-bool CacheSim::access_impl(std::uint64_t address, bool count_stats) {
-  if (count_stats) ++stats_.accesses;
-  const std::uint64_t line = address >> line_shift_;
-  const std::uint32_t set = static_cast<std::uint32_t>(line) & (set_count_ - 1);
-  const std::uint64_t tag = line / set_count_;
-  Way* base = &sets_[static_cast<std::size_t>(set) * ways_];
-  ++lru_clock_;
-  std::uint32_t victim = 0;
-  std::uint32_t victim_lru = ~0U;
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (base[w].tag == tag) {
-      base[w].lru = lru_clock_;
-      return true;
-    }
-    if (base[w].lru < victim_lru) {
-      victim_lru = base[w].lru;
-      victim = w;
-    }
-  }
-  if (count_stats) ++stats_.misses;
-  base[victim].tag = tag;
-  base[victim].lru = lru_clock_;
-  return false;
-}
-
-MemoryHierarchy::MemoryHierarchy(std::uint64_t l1_bytes,
-                                 std::uint64_t llc_bytes)
-    : l1_(l1_bytes, 64, 8), llc_(llc_bytes, 64, 16) {}
-
-int MemoryHierarchy::access(std::uint64_t address) {
-  if (l1_.access(address)) return 0;
-  if (llc_.access(address)) return 1;
-  return 2;
-}
-
-int MemoryHierarchy::access_private(std::uint64_t l1_address,
-                                    std::uint64_t llc_address) {
-  if (l1_.access(l1_address)) return 0;
-  if (llc_.access(llc_address)) return 1;
-  return 2;
-}
-
-void MemoryHierarchy::interfere(std::uint64_t address) {
-  llc_.touch(address);
+  set_shift_ = static_cast<std::uint32_t>(std::countr_zero(sets));
+  const std::size_t entries = static_cast<std::size_t>(set_count_) * ways_;
+  tags_.assign(entries, ~0ULL);
+  stamps_.assign(entries, 0);
 }
 
 }  // namespace edacloud::perf

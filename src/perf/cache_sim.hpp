@@ -1,7 +1,8 @@
 #pragma once
-// Set-associative LRU cache simulator and a two-level (L1 + LLC) hierarchy.
-// Stands in for the hardware performance counters the paper read with
-// `perf` (cache-references / cache-misses).
+// Set-associative LRU cache simulator. Stands in for the hardware
+// performance counters the paper read with `perf` (cache-references /
+// cache-misses); perf::Instrument chains one L1 per L1 geometry into one
+// LLC per VM configuration.
 
 #include <cstdint>
 #include <vector>
@@ -41,45 +42,53 @@ class CacheSim {
  private:
   bool access_impl(std::uint64_t address, bool count_stats);
 
-  struct Way {
-    std::uint64_t tag = ~0ULL;
-    std::uint32_t lru = 0;  // higher = more recently used
-  };
-
   std::uint64_t size_bytes_;
   std::uint32_t line_bytes_;
   std::uint32_t ways_;
   std::uint32_t set_count_;
   std::uint32_t line_shift_;
-  std::vector<Way> sets_;  // set-major layout, ways_ entries per set
+  std::uint32_t set_shift_;  // log2(set_count_): tag = line >> set_shift_
+  // Set-major, ways_ entries per set. Tags and LRU stamps live apart so the
+  // hit scan reads tags only; stamps (higher = more recently used) are read
+  // on a miss, to pick the victim.
+  std::vector<std::uint64_t> tags_;
+  std::vector<std::uint32_t> stamps_;
   std::uint32_t lru_clock_ = 0;
   CacheStats stats_;
 };
 
-/// L1 -> LLC hierarchy: LLC sees only L1 misses.
-class MemoryHierarchy {
- public:
-  MemoryHierarchy(std::uint64_t l1_bytes, std::uint64_t llc_bytes);
-
-  /// Returns 0 on L1 hit, 1 on LLC hit, 2 on memory access.
-  int access(std::uint64_t address);
-
-  /// Thread-private access: the L1 probe uses the un-offset address (each
-  /// worker core owns a private L1, so per-worker locality is unchanged),
-  /// while the shared LLC sees the worker-offset address (aggregate private
-  /// footprint grows with worker count).
-  int access_private(std::uint64_t l1_address, std::uint64_t llc_address);
-
-  /// Phantom co-runner traffic: contends for LLC capacity only (L1 caches
-  /// are private per vCPU) and leaves the measured stats untouched.
-  void interfere(std::uint64_t address);
-
-  [[nodiscard]] const CacheStats& l1() const { return l1_.stats(); }
-  [[nodiscard]] const CacheStats& llc() const { return llc_.stats(); }
-
- private:
-  CacheSim l1_;
-  CacheSim llc_;
-};
+inline bool CacheSim::access_impl(std::uint64_t address, bool count_stats) {
+  if (count_stats) ++stats_.accesses;
+  const std::uint64_t line = address >> line_shift_;
+  const std::uint32_t set = static_cast<std::uint32_t>(line) & (set_count_ - 1);
+  const std::uint64_t tag = line >> set_shift_;
+  const std::size_t base = static_cast<std::size_t>(set) * ways_;
+  const std::uint64_t* tags = &tags_[base];
+  std::uint32_t* stamps = &stamps_[base];
+  ++lru_clock_;
+  // A line sits in at most one way, so the last match is the match; the
+  // scan runs branch-free over every way.
+  std::uint32_t hit = ways_;
+  for (std::uint32_t w = 0; w < ways_; ++w) {
+    hit = tags[w] == tag ? w : hit;
+  }
+  if (hit != ways_) {
+    stamps[hit] = lru_clock_;
+    return true;
+  }
+  // Victim: the first way with the strictly smallest stamp (true LRU;
+  // never-filled ways carry stamp 0, so they fill in way order).
+  std::uint32_t victim = 0;
+  std::uint32_t oldest = stamps[0];
+  for (std::uint32_t w = 1; w < ways_; ++w) {
+    const bool older = stamps[w] < oldest;
+    oldest = older ? stamps[w] : oldest;
+    victim = older ? w : victim;
+  }
+  if (count_stats) ++stats_.misses;
+  tags_[base + victim] = tag;
+  stamps[victim] = lru_clock_;
+  return false;
+}
 
 }  // namespace edacloud::perf

@@ -4,6 +4,14 @@
 
 namespace edacloud::perf {
 
+namespace {
+
+constexpr std::uint32_t kLineBytes = 64;
+constexpr std::uint32_t kL1Ways = 8;
+constexpr std::uint32_t kLlcWays = 16;
+
+}  // namespace
+
 Instrument::Instrument() = default;
 
 Instrument::Instrument(std::vector<VmConfig> configs,
@@ -14,22 +22,47 @@ Instrument::Instrument(std::vector<VmConfig> configs,
     throw std::invalid_argument("Instrument requires at least one config");
   }
   predictor_ = std::make_unique<BranchPredictor>();
-  hierarchies_.reserve(configs_.size());
+  l1_of_.reserve(configs_.size());
+  llcs_.reserve(configs_.size());
   for (const VmConfig& config : configs_) {
-    hierarchies_.push_back(std::make_unique<MemoryHierarchy>(
-        config.l1_bytes, config.llc_bytes));
+    std::size_t group = 0;
+    while (group < l1s_.size() && l1s_[group].size_bytes() != config.l1_bytes) {
+      ++group;
+    }
+    if (group == l1s_.size()) {
+      l1s_.emplace_back(config.l1_bytes, kLineBytes, kL1Ways);
+    }
+    l1_of_.push_back(group);
+    llcs_.emplace_back(config.llc_bytes, kLineBytes, kLlcWays);
   }
+  l1_missed_.assign(l1s_.size(), 0);
   ring_.assign(kRingSize, 0);
   interference_credit_.assign(configs_.size(), 0);
 }
 
+bool Instrument::sample() {
+  // Every sample_period_-th event drives the caches: those whose
+  // pre-increment event_counter_ is a multiple of the period.
+  ++event_counter_;
+  const bool take = sample_phase_ == 0;
+  if (++sample_phase_ == sample_period_) sample_phase_ = 0;
+  return take;
+}
+
+void Instrument::probe_l1(std::uint64_t address) {
+  for (std::size_t g = 0; g < l1s_.size(); ++g) {
+    l1_missed_[g] = l1s_[g].access(address) ? 0 : 1;
+  }
+}
+
 void Instrument::on_memory(std::uint64_t address) {
-  if (event_counter_++ % sample_period_ != 0) return;
+  if (!sample()) return;
   ring_[ring_head_] = address;
   ring_head_ = (ring_head_ + 1) % kRingSize;
+  probe_l1(address);
   for (std::size_t c = 0; c < configs_.size(); ++c) {
-    MemoryHierarchy& hierarchy = *hierarchies_[c];
-    hierarchy.access(address);
+    CacheSim& llc = llcs_[c];
+    if (l1_missed_[l1_of_[c]] != 0) llc.access(address);
     // Gentle cross-thread pollution: with k vCPUs, sibling worker threads
     // keep private state (per-thread search arrays, partial results) that
     // competes for the shared LLC slice. We inject a lagged self-similar
@@ -47,7 +80,7 @@ void Instrument::on_memory(std::uint64_t address) {
             (1ULL + (event_counter_ % extra_threads)) << 26;
         const std::uint64_t lagged =
             ring_[(ring_head_ + kRingSize - lag) % kRingSize];
-        hierarchy.interfere(lagged + thread_base);
+        llc.touch(lagged + thread_base);
       }
     }
   }
@@ -55,20 +88,25 @@ void Instrument::on_memory(std::uint64_t address) {
 
 void Instrument::on_memory_private(std::uint64_t address,
                                    std::uint32_t stream) {
-  if (event_counter_++ % sample_period_ != 0) return;
+  if (!sample()) return;
   ring_[ring_head_] = address;
   ring_head_ = (ring_head_ + 1) % kRingSize;
+  // Each worker core owns a private L1, so the L1 sees the un-offset
+  // address (per-worker locality is unchanged), while the shared LLC sees
+  // the worker-offset address (aggregate private footprint grows with the
+  // worker count).
+  probe_l1(address);
   for (std::size_t c = 0; c < configs_.size(); ++c) {
+    if (l1_missed_[l1_of_[c]] == 0) continue;
     const std::uint32_t worker =
         stream % static_cast<std::uint32_t>(configs_[c].vcpus);
-    hierarchies_[c]->access_private(
-        address, address + (static_cast<std::uint64_t>(worker) << 27));
+    llcs_[c].access(address + (static_cast<std::uint64_t>(worker) << 27));
   }
 }
 
 void Instrument::replay(const EventLog& log) {
   if (!enabled()) return;
-  for (const PerfEvent& event : log.events()) {
+  log.for_each([this](const PerfEvent& event) {
     switch (event.kind) {
       case PerfEvent::Kind::kLoad:
         load(event.a);
@@ -82,17 +120,11 @@ void Instrument::replay(const EventLog& log) {
       case PerfEvent::Kind::kBranch:
         branch(event.a, event.b != 0);
         break;
-      case PerfEvent::Kind::kIntOps:
-        int_ops(event.a);
-        break;
-      case PerfEvent::Kind::kFpOps:
-        fp_ops(event.a);
-        break;
-      case PerfEvent::Kind::kAvxOps:
-        avx_ops(event.a);
-        break;
     }
-  }
+  });
+  int_ops(log.int_op_count());
+  fp_ops(log.fp_op_count());
+  avx_ops(log.avx_op_count());
 }
 
 OpCounts Instrument::counts(std::size_t index) const {
@@ -109,12 +141,13 @@ OpCounts Instrument::counts(std::size_t index) const {
     out.branches = predictor_->stats().branches;
     out.branch_misses = predictor_->stats().mispredicts;
   }
-  const MemoryHierarchy& hierarchy = *hierarchies_[index];
+  const CacheStats& l1 = l1s_[l1_of_[index]].stats();
+  const CacheStats& llc = llcs_[index].stats();
   const std::uint64_t scale = sample_period_;
-  out.l1_accesses = hierarchy.l1().accesses * scale;
-  out.l1_misses = hierarchy.l1().misses * scale;
-  out.llc_accesses = hierarchy.llc().accesses * scale;
-  out.llc_misses = hierarchy.llc().misses * scale;
+  out.l1_accesses = l1.accesses * scale;
+  out.l1_misses = l1.misses * scale;
+  out.llc_accesses = llc.accesses * scale;
+  out.llc_misses = llc.misses * scale;
   return out;
 }
 

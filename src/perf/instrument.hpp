@@ -1,9 +1,13 @@
 #pragma once
 // Instrumentation facade the EDA engines report events into. One engine run
 // is measured against *all* candidate VM configurations simultaneously:
-// each configuration owns a private simulated memory hierarchy, and
-// multi-tenancy is emulated by phantom co-runner accesses that contend for
-// the LLC slice (see DESIGN.md). Branch and arithmetic-mix counters are
+// each configuration owns a private simulated LLC slice, and multi-tenancy
+// is emulated by phantom co-runner accesses that contend for that slice
+// (see DESIGN.md). Every configuration probes its L1 with the same
+// un-offset address and co-runner traffic never reaches an L1, so all
+// configurations with one L1 geometry would hold identical L1 state: they
+// share one simulated L1, and an access goes on to a configuration's own
+// LLC only on an L1 miss. Branch and arithmetic-mix counters are
 // configuration-independent and shared.
 //
 // Memory simulation is sampled (1-in-N events drive the cache models) to
@@ -58,10 +62,10 @@ class Instrument {
     on_memory_private(address, stream);
   }
 
-  /// Feed a recorded event stream back in, in its recorded order. Parallel
-  /// engine sections log into per-task perf::EventLogs and replay them here
-  /// serially in a thread-count-independent order (see event_log.hpp), so
-  /// the stateful simulators produce identical totals at any thread count.
+  /// Feed a recorded span back in, in its recorded order. Parallel engine
+  /// sections log into per-slot arena spans and replay them here serially
+  /// in a thread-count-independent order (see event_log.hpp), so the
+  /// stateful simulators produce identical totals at any thread count.
   void replay(const EventLog& log);
 
   void int_ops(std::uint64_t n) { int_ops_ += enabled() ? n : 0; }
@@ -79,9 +83,15 @@ class Instrument {
   void on_memory(std::uint64_t address);
   void on_memory_private(std::uint64_t address, std::uint32_t stream);
 
+  /// Counts one memory event; true if it is a sampled one.
+  bool sample();
+  /// Probes every L1 group with `address`; records which groups missed.
+  void probe_l1(std::uint64_t address);
+
   std::vector<VmConfig> configs_;
   std::uint32_t sample_period_ = 1;
   std::uint64_t event_counter_ = 0;
+  std::uint32_t sample_phase_ = 0;  // event_counter_ % sample_period_
 
   std::uint64_t int_ops_ = 0;
   std::uint64_t fp_ops_ = 0;
@@ -90,7 +100,10 @@ class Instrument {
   std::uint64_t stores_ = 0;
 
   std::unique_ptr<BranchPredictor> predictor_;
-  std::vector<std::unique_ptr<MemoryHierarchy>> hierarchies_;
+  std::vector<CacheSim> l1s_;              // one per distinct l1_bytes
+  std::vector<std::uint8_t> l1_missed_;    // per L1 group, last probe
+  std::vector<std::size_t> l1_of_;         // config -> its L1 group
+  std::vector<CacheSim> llcs_;             // one per config
 
   // Recent real addresses replayed as phantom co-runner traffic.
   static constexpr std::size_t kRingSize = 1024;

@@ -455,10 +455,14 @@ RoutingResult GridRouter::run(const Netlist& netlist,
                                           // on the thread count
   struct Attempt {
     std::vector<std::uint32_t> edges;
+    perf::EventLog log;  // span of its worker slot's arena
     std::uint64_t expansions = 0;
     bool pattern = false;
     bool routed = false;
   };
+  // One event arena per worker slot, reused by every round: a round's
+  // spans are all replayed before the next round rewinds the arenas.
+  std::vector<perf::EventArena> arenas(ins != nullptr ? slot_count : 0);
 
   auto commit = [&](std::uint32_t idx, Attempt&& attempt, int op_iteration,
                     bool count_routed) {
@@ -484,7 +488,7 @@ RoutingResult GridRouter::run(const Netlist& netlist,
       ++rounds;
       const std::size_t n = pending.size();
       std::vector<Attempt> attempts(n);
-      std::vector<perf::EventLog> logs(ins != nullptr ? n : 0);
+      for (perf::EventArena& arena : arenas) arena.clear();
       util::parallel_for(
           threads, 0, n, kBatchGrain,
           [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t,
@@ -492,8 +496,12 @@ RoutingResult GridRouter::run(const Netlist& netlist,
             Maze& maze = maze_for(slot);
             for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
               const std::uint32_t idx = pending[i];
-              perf::EventLog* log = ins != nullptr ? &logs[i] : nullptr;
               Attempt& attempt = attempts[i];
+              perf::EventLog* log = nullptr;
+              if (ins != nullptr) {
+                attempt.log = perf::EventLog(arenas[slot]);
+                log = &attempt.log;
+              }
               if (use_patterns &&
                   patterns.route(connections[idx], attempt.edges, log)) {
                 attempt.pattern = true;
@@ -521,7 +529,7 @@ RoutingResult GridRouter::run(const Netlist& netlist,
         }
         committed_mask.merge(mask);
         any_committed = true;
-        if (ins != nullptr) ins->replay(logs[i]);
+        if (ins != nullptr) ins->replay(attempt.log);
         commit(pending[i], std::move(attempt), op_iteration, count_routed);
       }
       pending = std::move(deferred);
@@ -529,24 +537,28 @@ RoutingResult GridRouter::run(const Netlist& netlist,
 
     // Serial straggler tail against live state (fixed order, deterministic).
     if (!pending.empty()) {
-      Maze& maze =
-          maze_for(static_cast<unsigned>(util::this_thread_pool_slot()));
+      const auto slot = static_cast<unsigned>(util::this_thread_pool_slot());
+      Maze& maze = maze_for(slot);
       for (std::uint32_t idx : pending) {
-        perf::EventLog log;
-        perf::EventLog* logp = ins != nullptr ? &log : nullptr;
         Attempt attempt;
+        perf::EventLog* log = nullptr;
+        if (ins != nullptr) {
+          arenas[slot].clear();
+          attempt.log = perf::EventLog(arenas[slot]);
+          log = &attempt.log;
+        }
         if (use_patterns &&
-            patterns.route(connections[idx], attempt.edges, logp)) {
+            patterns.route(connections[idx], attempt.edges, log)) {
           attempt.pattern = true;
           attempt.routed = true;
         } else {
           attempt.expansions =
-              maze.route(connections[idx], attempt.edges, idx, logp);
+              maze.route(connections[idx], attempt.edges, idx, log);
           attempt.routed = attempt.expansions > 0;
         }
         result.total_expansions += attempt.expansions;
         if (!attempt.routed) continue;
-        if (ins != nullptr) ins->replay(log);
+        if (ins != nullptr) ins->replay(attempt.log);
         commit(idx, std::move(attempt), op_iteration, count_routed);
       }
     }

@@ -61,6 +61,21 @@ TimingReport StaEngine::run(const Netlist& netlist,
   // Fixed grain: chunk boundaries (and so event replay order) must be a
   // function of the level population only, never the thread count.
   constexpr std::size_t kLevelGrain = 64;
+  // Chunk events are recorded as spans of per-worker-slot arenas; a sweep
+  // replays its spans in chunk order before the arenas are rewound.
+  std::vector<perf::EventArena> arenas(
+      ins != nullptr ? util::parallel_slot_count(threads) : 0);
+  auto open_log = [&](std::vector<perf::EventLog>& logs, std::size_t chunk,
+                      unsigned slot) -> perf::EventLog* {
+    if (ins == nullptr) return nullptr;
+    logs[chunk] = perf::EventLog(arenas[slot]);
+    return &logs[chunk];
+  };
+  auto replay_and_rewind = [&](const std::vector<perf::EventLog>& logs) {
+    if (ins == nullptr) return;
+    for (const perf::EventLog& log : logs) ins->replay(log);
+    for (perf::EventArena& arena : arenas) arena.clear();
+  };
 
   TimingReport report;
   report.arrival_ps.assign(n, 0.0);
@@ -128,8 +143,8 @@ TimingReport StaEngine::run(const Netlist& netlist,
     util::parallel_for(
         threads, 0, bucket.size(), kLevelGrain,
         [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t chunk,
-            unsigned) {
-          perf::EventLog* log = ins != nullptr ? &logs[chunk] : nullptr;
+            unsigned slot) {
+          perf::EventLog* log = open_log(logs, chunk, slot);
           for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
             const NodeId id = bucket[i];
             const auto& node = netlist.node(id);
@@ -192,9 +207,7 @@ TimingReport StaEngine::run(const Netlist& netlist,
             }
           }
         });
-    if (ins != nullptr) {
-      for (const perf::EventLog& log : logs) ins->replay(log);
-    }
+    replay_and_rewind(logs);
   }
   }  // sta/arrival
 
@@ -227,8 +240,8 @@ TimingReport StaEngine::run(const Netlist& netlist,
     util::parallel_for(
         threads, 0, bucket.size(), kLevelGrain,
         [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t chunk,
-            unsigned) {
-          perf::EventLog* log = ins != nullptr ? &logs[chunk] : nullptr;
+            unsigned slot) {
+          perf::EventLog* log = open_log(logs, chunk, slot);
           for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
             const NodeId id = bucket[i];
             const auto [fo_begin, fo_end] = fanout.range(id);
@@ -255,9 +268,7 @@ TimingReport StaEngine::run(const Netlist& netlist,
             required[id] = req;
           }
         });
-    if (ins != nullptr) {
-      for (const perf::EventLog& log : logs) ins->replay(log);
-    }
+    replay_and_rewind(logs);
   }
   for (NodeId id = 0; id < n; ++id) {
     report.slack_ps[id] =
@@ -284,8 +295,8 @@ TimingReport StaEngine::run(const Netlist& netlist,
   util::parallel_for(
       threads, 0, n, kPowerGrain,
       [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t chunk,
-          unsigned) {
-        perf::EventLog* log = ins != nullptr ? &logs[chunk] : nullptr;
+          unsigned slot) {
+        perf::EventLog* log = open_log(logs, chunk, slot);
         double leakage = 0.0;
         double dynamic = 0.0;
         for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
@@ -300,8 +311,8 @@ TimingReport StaEngine::run(const Netlist& netlist,
         leakage_partial[chunk] = leakage;
         dynamic_partial[chunk] = dynamic;
       });
+  replay_and_rewind(logs);
   for (std::size_t c = 0; c < power_chunks; ++c) {
-    if (ins != nullptr) ins->replay(logs[c]);
     report.leakage_power_nw += leakage_partial[c];
     report.dynamic_power_uw += dynamic_partial[c];
   }

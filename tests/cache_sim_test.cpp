@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "perf/cache_sim.hpp"
+#include "perf/instrument.hpp"
 #include "perf/vm.hpp"
 #include "util/rng.hpp"
 
@@ -83,32 +84,64 @@ TEST(CacheSimTest, MissRateComputation) {
   EXPECT_DOUBLE_EQ(stats.miss_rate(), 0.3);
 }
 
+// The L1 -> LLC hierarchy, observed through perf::Instrument (which chains
+// one L1 per L1 geometry into one LLC per configuration). Sample period 1,
+// so the counters are the raw cache statistics.
+
+VmConfig hierarchy_config(std::uint64_t l1_bytes, std::uint64_t llc_bytes,
+                          int vcpus = 1) {
+  VmConfig vm = make_vm(InstanceFamily::kGeneralPurpose, vcpus);
+  vm.l1_bytes = l1_bytes;
+  vm.llc_bytes = llc_bytes;
+  return vm;
+}
+
 TEST(MemoryHierarchyTest, LevelsFilterAccesses) {
-  MemoryHierarchy hierarchy(8 * 1024, 64 * 1024);
-  EXPECT_EQ(hierarchy.access(0), 2);  // cold: miss both levels
-  EXPECT_EQ(hierarchy.access(0), 0);  // L1 hit
-  EXPECT_EQ(hierarchy.l1().accesses, 2u);
-  EXPECT_EQ(hierarchy.llc().accesses, 1u);  // only the L1 miss
+  Instrument hierarchy({hierarchy_config(8 * 1024, 64 * 1024)}, 1);
+  hierarchy.load(0);  // cold: miss both levels
+  hierarchy.load(0);  // L1 hit
+  const OpCounts counts = hierarchy.counts(0);
+  EXPECT_EQ(counts.l1_accesses, 2u);
+  EXPECT_EQ(counts.l1_misses, 1u);
+  EXPECT_EQ(counts.llc_accesses, 1u);  // only the L1 miss
+  EXPECT_EQ(counts.llc_misses, 1u);
 }
 
 TEST(MemoryHierarchyTest, LlcCatchesL1Evictions) {
-  MemoryHierarchy hierarchy(1024, 1024 * 1024);
+  Instrument hierarchy({hierarchy_config(1024, 1024 * 1024)}, 1);
   // Touch 8 KiB (evicts most of 1 KiB L1), then re-touch the start.
   for (std::uint64_t addr = 0; addr < 8 * 1024; addr += 64) {
-    hierarchy.access(addr);
+    hierarchy.load(addr);
   }
-  const auto llc_misses = hierarchy.llc().misses;
-  hierarchy.access(0);  // L1 miss, LLC hit
-  EXPECT_EQ(hierarchy.llc().misses, llc_misses);
+  const OpCounts before = hierarchy.counts(0);
+  hierarchy.load(0);  // L1 miss, LLC hit
+  const OpCounts after = hierarchy.counts(0);
+  EXPECT_EQ(after.l1_misses, before.l1_misses + 1);
+  EXPECT_EQ(after.llc_accesses, before.llc_accesses + 1);
+  EXPECT_EQ(after.llc_misses, before.llc_misses);
 }
 
 TEST(MemoryHierarchyTest, InterfereOccupiesLlcOnly) {
-  MemoryHierarchy hierarchy(8 * 1024, 8 * 1024);
-  hierarchy.interfere(0);
-  EXPECT_EQ(hierarchy.l1().accesses, 0u);
-  EXPECT_EQ(hierarchy.llc().accesses, 0u);  // no stats
-  // The interfering line is resident: an access misses L1 but hits LLC.
-  EXPECT_EQ(hierarchy.access(0), 1);
+  // Two configurations sharing one L1 geometry: the 2-vCPU one injects one
+  // phantom co-runner access per 36 measured accesses into its own LLC.
+  Instrument hierarchy({hierarchy_config(8 * 1024, 1024 * 1024, 1),
+                        hierarchy_config(8 * 1024, 1024 * 1024, 2)},
+                       1);
+  for (std::uint64_t line = 0; line < 36; ++line) hierarchy.load(line * 64);
+  // The 36th access replays the access 31 back (line 5) at the first
+  // sibling thread's offset — without counting it anywhere.
+  for (std::size_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(hierarchy.counts(c).l1_accesses, 36u);
+    EXPECT_EQ(hierarchy.counts(c).llc_accesses, 36u);
+    EXPECT_EQ(hierarchy.counts(c).llc_misses, 36u);
+  }
+  // The phantom line is resident in the 2-vCPU LLC only: the access
+  // misses the (shared) L1 for both, but hits that one LLC.
+  hierarchy.load(5 * 64 + (std::uint64_t{1} << 26));
+  EXPECT_EQ(hierarchy.counts(0).l1_misses, 37u);
+  EXPECT_EQ(hierarchy.counts(1).l1_misses, 37u);
+  EXPECT_EQ(hierarchy.counts(0).llc_misses, 37u);
+  EXPECT_EQ(hierarchy.counts(1).llc_misses, 36u);
 }
 
 TEST(VmConfigTest, LadderScalesLlcWithVcpus) {
